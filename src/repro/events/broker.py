@@ -63,14 +63,19 @@ converge the way it does on a tree:
   Resets only ever widen (a non-superset reset is ignored), so the
   narrowing/widening pair cannot oscillate.
 
-Dispatch runs through the predicate-indexed matching fabric
-(:mod:`repro.events.index`): publications are routed with a counting
-:class:`~repro.events.index.PredicateIndex` over the subscription store,
-and covering decisions (forwarding suppression, unmasking on removal)
-are :class:`~repro.events.index.CoveringPoset` lookups.  ``indexed=False``
-keeps the seed's linear scans as the measurable ablation baseline
-(benchmark E13), just as ``covering_enabled=False`` keeps the
-no-covering baseline (benchmark A1).
+A broker's control state lives in two
+:class:`~repro.events.filter_table.FilterTable`\\ s, one for
+subscriptions and one for advertisements, and every step above is
+written once against a table.  The default
+:class:`~repro.events.filter_table.IndexedFilterTable` routes
+publications with a counting :class:`~repro.events.index.PredicateIndex`
+over the subscription store and answers covering decisions (forwarding
+suppression, unmasking on removal) with
+:class:`~repro.events.index.CoveringPoset` lookups.  ``indexed=False``
+picks :class:`~repro.events.filter_table.LinearFilterTable`, the seed's
+linear scans, as the measurable ablation baseline (benchmark E13), just
+as ``covering_enabled=False`` keeps the no-covering baseline
+(benchmark A1).
 
 Two routing behaviours complete Siena's advertisement/subscription
 interaction:
@@ -106,19 +111,21 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from repro.events.covering import filter_covers
 from repro.events.failure import (
     Heartbeat,
     OriginFloorCache,
     Resync,
     install_detectors,
 )
+from repro.events.filter_table import (
+    FilterTable,
+    IndexedFilterTable,
+    LinearFilterTable,
+)
 from repro.events.filters import Filter, eq, exists, filters_intersect
-from repro.events.index import CoveringPoset, PredicateIndex
 from repro.events.placement import plan_extra_links
 from repro.events.model import Notification, make_event
 from repro.events.rendezvous import RendezvousEngine
-from repro.events.subscriptions import Subscription
 from repro.ids import GUID_DIGITS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -271,10 +278,16 @@ class BrokerNode(Host):
     ``covering_enabled`` (default ``True``) — Siena's covering
       optimisation on forwarded control state; ``False`` (exact-duplicate
       suppression only) is the ablation measured in benchmark A1.
-    ``indexed`` (default ``True``) — the counting
-      :class:`~repro.events.index.PredicateIndex` matching fabric;
-      ``False`` restores the seed's linear scans, the "naive" ablation
-      measured in benchmark E13.
+    ``indexed`` (default ``True``) — picks the filter-table
+      implementation (:mod:`repro.events.filter_table`) for both the
+      subscription and the advertisement table:
+      :class:`~repro.events.filter_table.IndexedFilterTable` matches on
+      the counting :class:`~repro.events.index.PredicateIndex` and
+      answers covering queries from
+      :class:`~repro.events.index.CoveringPoset`\\ s; ``False`` picks
+      :class:`~repro.events.filter_table.LinearFilterTable`, the
+      seed's linear scans — the "naive" ablation measured in benchmark
+      E13.
     ``adv_pruned`` (default ``False``) — advertisement-pruned
       subscription forwarding, benchmark E5's ablation: subscriptions
       travel only toward advertising subtrees.  Deliveries stay
@@ -333,10 +346,7 @@ class BrokerNode(Host):
             raise ValueError(f"unknown routing mode: {routing!r}")
         if shards < 1:
             raise ValueError("shards must be >= 1")
-        if shards > 1 and not indexed:
-            raise ValueError("sharded matching requires indexed=True")
         self.covering_enabled = covering_enabled
-        self.indexed = indexed
         self.adv_pruned = adv_pruned
         # Routing mode: "flood" is Siena's subscription flooding (with
         # or without adv_pruned); "dht" replaces the control-state flood
@@ -364,71 +374,25 @@ class BrokerNode(Host):
         self.control_counts: Counter[str] = Counter()
         self.neighbours: set[Address] = set()
         self.client_addrs: set[Address] = set()
-        # Subscriptions by immediate source (neighbour broker or client).
-        self.subs_by_source: dict[Address, list[Subscription]] = {}
-        # Filters we have already pushed toward each neighbour.
-        self.forwarded: dict[Address, list[Filter]] = {}
-        # Advertisements by immediate source; queryable by management and
-        # discovery tooling ("who produces weather events?").
-        self.adverts_by_source: dict[Address, list[Filter]] = {}
-        self.adverts_forwarded: dict[Address, list[Filter]] = {}
+        # Control state, one table per filter kind: the filters stored by
+        # immediate source (neighbour broker or client) with the source
+        # paths they arrived with, the match index and covering poset
+        # over them, and what was forwarded toward each neighbour.  With
+        # shards > 1 the subscription index is partitioned by event
+        # subject (repro.events.sharding); deliveries are identical.
+        table = IndexedFilterTable if indexed else LinearFilterTable
+        self.subs = table(Subscribe, Unsubscribe, shards=shards)
+        self.adverts = table(Advertise, Unadvertise)
+        # The tables' dicts under the names management tooling, tests
+        # and benchmarks read ("who produces weather events?").
+        self.subs_by_source: dict[Address, list[Filter]] = self.subs.by_source
+        self.forwarded: dict[Address, list[Filter]] = self.subs.forwarded
+        self.adverts_by_source: dict[Address, list[Filter]] = self.adverts.by_source
+        self.adverts_forwarded: dict[Address, list[Filter]] = self.adverts.forwarded
         # Mobikit proxies: disconnected client -> buffered notifications.
         self.proxies: dict[Address, list[Notification]] = {}
         self.notifications_processed = 0
         self.notifications_delivered = 0
-        # The matching-fabric structures exist regardless of the switch
-        # (they are cheap when empty); only the indexed path consults them.
-        # Counting index over every stored subscription (payload: the
-        # source it arrived from) — drives _process_publication.  With
-        # shards > 1 the index is partitioned by event subject so each
-        # publication sweeps only its partition's candidate pools
-        # (repro.events.sharding); deliveries are identical either way.
-        self.shards = shards
-        if shards > 1:
-            # Imported lazily: sharding.py uses this module's wire
-            # dataclasses, so a top-level import would be circular.
-            from repro.events.sharding import ShardedSubscriptionIndex, ShardPlan
-
-            self._sub_index: PredicateIndex = ShardedSubscriptionIndex(
-                ShardPlan(shards)
-            )
-        else:
-            self._sub_index = PredicateIndex()
-        self._sub_entry_ids: dict[tuple[Address, Filter], int] = {}
-        # Covering poset over the same store — drives the "what was
-        # the removed filter masking?" query on unsubscribe.
-        self._sub_poset = CoveringPoset()
-        self._sub_poset_ids: dict[tuple[Address, Filter], int] = {}
-        self._sub_sources: dict[Filter, set[Address]] = {}
-        # Per-neighbour posets over the forwarded filter sets — drive
-        # the "is this covered by an already-forwarded one?" query.
-        self._fwd_posets: dict[Address, CoveringPoset] = {}
-        self._fwd_ids: dict[Address, dict[Filter, int]] = {}
-        # Advertisement twins of all of the above.
-        self._adv_index = PredicateIndex()
-        self._adv_entry_ids: dict[tuple[Address, Filter], int] = {}
-        self._adv_poset = CoveringPoset()
-        self._adv_poset_ids: dict[tuple[Address, Filter], int] = {}
-        self._adv_sources: dict[Filter, set[Address]] = {}
-        self._advfwd_posets: dict[Address, CoveringPoset] = {}
-        self._advfwd_ids: dict[Address, dict[Filter, int]] = {}
-        # Per-source posets over the advertisements received *from* each
-        # source — the "does this subtree produce anything the
-        # subscription wants?" query behind advertisement pruning.
-        self._adv_in: dict[Address, CoveringPoset] = {}
-        self._adv_in_ids: dict[tuple[Address, Filter], int] = {}
-        # Source path each stored filter arrived with (clients arrive
-        # with the empty path) — re-forwarding a stored filter (link
-        # sync, unmasking, deferred unblock) re-uses it so the flood
-        # stays loop-scoped on meshes.  Duplicate arrivals over other
-        # chains narrow the path to the chains' intersection.
-        self._sub_paths: dict[tuple[Address, Filter], tuple[Address, ...]] = {}
-        self._adv_paths: dict[tuple[Address, Filter], tuple[Address, ...]] = {}
-        # The path each filter was last pushed toward a neighbour with
-        # (as a set) — when a narrower copy arrives, the delta is
-        # re-sent so the neighbour can narrow its stored path too.
-        self._fwd_sent: dict[Address, dict[Filter, frozenset]] = {}
-        self._advfwd_sent: dict[Address, dict[Filter, frozenset]] = {}
         # Publication duplicate suppression: per-origin sequence floors
         # with TTL expiry.  First copy wins; every later copy arriving
         # over a redundant path is dropped here.
@@ -533,8 +497,7 @@ class BrokerNode(Host):
         if neighbour in self.neighbours:
             return
         self.neighbours.add(neighbour)
-        self.forwarded.setdefault(neighbour, [])
-        self._sync_new_neighbour(neighbour)
+        self._reset_and_sync(neighbour)
 
     def _sync_new_neighbour(self, neighbour: Address) -> None:
         if self.rv is not None:
@@ -543,50 +506,32 @@ class BrokerNode(Host):
             # both sides re-graft their rendezvous trees.
             self.rv.hello(neighbour)
             return
-        for source, filters in list(self.adverts_by_source.items()):
-            if source == neighbour:
-                continue
-            for filter in list(filters):
-                self._forward_filter(
-                    neighbour, filter,
-                    self._adv_paths.get((source, filter), ()),
-                    self.adverts_forwarded, self._advfwd_posets,
-                    self._advfwd_ids, self._advfwd_sent, Advertise,
-                )
-        for source, subs in list(self.subs_by_source.items()):
-            if source == neighbour:
-                continue
-            for sub in list(subs):
-                if self._sub_blocked(neighbour, sub.filter):
-                    continue  # re-forwarded if their advertisements arrive
-                self._forward_filter(
-                    neighbour, sub.filter,
-                    self._sub_paths.get((source, sub.filter), ()),
-                    self.forwarded, self._fwd_posets,
-                    self._fwd_ids, self._fwd_sent, Subscribe,
-                )
+        # Advertisements first, so the subscription pass below (and the
+        # far side's pruning) already sees them.
+        for table in (self.adverts, self.subs):
+            for source, filters in list(table.by_source.items()):
+                if source == neighbour:
+                    continue
+                for filter in list(filters):
+                    if self._blocked(table, neighbour, filter):
+                        continue  # re-forwarded if advertisements arrive
+                    self._forward(
+                        table, neighbour, filter, table.paths[(source, filter)]
+                    )
 
     def _forget_neighbour(self, neighbour: Address) -> None:
-        self.forwarded.pop(neighbour, None)
-        self._fwd_posets.pop(neighbour, None)
-        self._fwd_ids.pop(neighbour, None)
-        self._fwd_sent.pop(neighbour, None)
-        self.adverts_forwarded.pop(neighbour, None)
-        self._advfwd_posets.pop(neighbour, None)
-        self._advfwd_ids.pop(neighbour, None)
-        self._advfwd_sent.pop(neighbour, None)
-        for filter in [s.filter for s in self.subs_by_source.get(neighbour, [])]:
+        for table in (self.subs, self.adverts):
+            table.forget(neighbour)
+        for filter in list(self.subs.by_source.get(neighbour, ())):
             self._remove_subscription(neighbour, filter)
-        for filter in list(self.adverts_by_source.get(neighbour, ())):
+        for filter in list(self.adverts.by_source.get(neighbour, ())):
             self._remove_advertisement(neighbour, filter)
-        self.adverts_by_source.pop(neighbour, None)
-        self._adv_in.pop(neighbour, None)
 
     def attach_client(self, client_addr: Address) -> None:
         self.client_addrs.add(client_addr)
 
     # ------------------------------------------------------------------
-    # Subscription management
+    # Control state: one implementation for both filter kinds
     # ------------------------------------------------------------------
     def _store_subscription(
         self,
@@ -595,146 +540,111 @@ class BrokerNode(Host):
         path: tuple[Address, ...] = (),
         path_reset: bool = False,
     ) -> None:
-        if self.addr in path:
-            return  # a reflection of our own forwarding around a cycle
-        subs = self.subs_by_source.setdefault(source, [])
-        if self.indexed:
-            known = source in self._sub_sources.get(filter, ())
-        else:
-            known = any(s.filter == filter for s in subs)
-        if known:
-            if path_reset:
-                if self._widen_stored(source, filter, path, self._sub_paths):
-                    self._propagate_sub_widening(filter)
-            else:
-                self._narrow_stored(
-                    source, filter, path, self._sub_paths,
-                    self._propagate_subscription,
-                )
-            return
-        subs.append(Subscription.fresh(filter, source))
-        if self.indexed:
-            key = (source, filter)
-            self._sub_entry_ids[key] = self._sub_index.add(filter, payload=source)
-            self._sub_poset_ids[key] = self._sub_poset.add(filter, payload=key)
-            self._sub_sources.setdefault(filter, set()).add(source)
-        self._sub_paths[(source, filter)] = path
-        self._propagate_subscription(source, filter, path)
-        if self.rv is not None:
+        stored = self._store(self.subs, source, filter, path, path_reset)
+        if stored and self.rv is not None:
             self.rv.on_subscribe(filter)
 
-    def _narrow_stored(
+    def _store_advertisement(
         self,
         source: Address,
         filter: Filter,
-        path: tuple[Address, ...],
-        paths: dict[tuple[Address, Filter], tuple[Address, ...]],
-        propagate,
+        path: tuple[Address, ...] = (),
+        path_reset: bool = False,
     ) -> None:
-        """Narrow a stored filter's path when a copy arrives another way.
+        if not self._store(self.adverts, source, filter, path, path_reset):
+            return
+        if self.rv is not None:
+            self.rv.on_advertise(source, filter)
+        if self.adv_pruned and source in self.neighbours:
+            # Deferred re-propagation: the new advertisement may unblock
+            # subscriptions previously pruned toward its source.
+            self._unblock_subscriptions(source, filter)
 
-        The stored path becomes the intersection of every chain the
-        filter has arrived over from this source — only the brokers on
-        *all* of them are guaranteed to know the filter already.  When
-        it shrinks, the filter re-propagates: neighbours the wider path
-        excluded may now legitimately need it.
+    def _remove_subscription(self, source: Address, filter: Filter) -> None:
+        if self.subs.discard(source, filter) and self.rv is not None:
+            self.rv.on_unsubscribe(filter)
+        self._retract_everywhere(self.subs, source, filter)
+
+    def _remove_advertisement(self, source: Address, filter: Filter) -> None:
+        if self.adverts.discard(source, filter):
+            if self.rv is not None:
+                self.rv.on_unadvertise(source, filter)
+            if self.adv_pruned and source in self.neighbours:
+                # Symmetric retraction: subscriptions only this
+                # advertisement justified are withdrawn from its source.
+                self._reprune_subscriptions(source, filter)
+        self._retract_everywhere(self.adverts, source, filter)
+
+    def _store(
+        self,
+        table: FilterTable,
+        source: Address,
+        filter: Filter,
+        path: tuple[Address, ...],
+        path_reset: bool,
+    ) -> bool:
+        """Store a filter arriving from ``source``; ``True`` when new.
+
+        A known filter arriving again over another chain narrows its
+        stored path (see :meth:`FilterTable.narrow`) and re-propagates
+        when it shrank — neighbours the wider path excluded may now
+        legitimately need it.  A ``path_reset`` copy widens it instead.
         """
-        key = (source, filter)
-        old = paths.get(key)
-        if old is None:
-            return
-        arrived = set(path)
-        new = tuple(x for x in old if x in arrived)
-        if len(new) == len(old):
-            return
-        paths[key] = new
-        propagate(source, filter, new)
+        if self.addr in path:
+            return False  # a reflection of our own forwarding around a cycle
+        if table.has(source, filter):
+            if path_reset:
+                if table.widen(source, filter, path):
+                    self._propagate_widening(table, filter)
+            else:
+                narrowed = table.narrow(source, filter, path)
+                if narrowed is not None:
+                    self._propagate(table, source, filter, narrowed)
+            return False
+        table.add(source, filter, path)
+        self._propagate(table, source, filter, path)
+        return True
+
+    def _propagate(
+        self,
+        table: FilterTable,
+        source: Address,
+        filter: Filter,
+        path: tuple[Address, ...],
+    ) -> None:
+        if self.rv is not None:
+            return  # dht mode: interest is grafted, adverts registered
+        for neighbour in self.neighbours:
+            if neighbour == source:
+                continue
+            if self._blocked(table, neighbour, filter):
+                continue  # deferred: unblocked if an advertisement arrives
+            self._forward(table, neighbour, filter, path)
+
+    def _retract_everywhere(
+        self, table: FilterTable, source: Address, filter: Filter
+    ) -> None:
+        for neighbour in self.neighbours:
+            if neighbour != source:
+                self._retract(table, neighbour, filter)
 
     # ------------------------------------------------------------------
     # Path re-widening (the inverse of narrowing, driven by removals)
     # ------------------------------------------------------------------
-    def _widen_stored(
-        self,
-        source: Address,
-        filter: Filter,
-        path: tuple[Address, ...],
-        paths: dict[tuple[Address, Filter], tuple[Address, ...]],
-    ) -> bool:
-        """Replace a stored path with a strictly wider reset; else ignore.
-
-        Only strict supersets are accepted: a reset is the sender's
-        recomputation after one of the chains feeding an intersection
-        disappeared, so it can only widen — and insisting on that keeps
-        the narrow/widen pair monotone (no oscillating re-sends).
-        """
-        key = (source, filter)
-        old = paths.get(key)
-        if old is None or not set(path) > set(old):
-            return False
-        paths[key] = tuple(path)
-        return True
-
-    def _sub_source_paths(
-        self, filter: Filter, exclude: Address
-    ) -> list[tuple[Address, ...]]:
-        """Stored paths of every copy of ``filter`` not from ``exclude``."""
-        if self.indexed:
-            sources = self._sub_sources.get(filter, ())
-        else:
-            sources = [
-                src
-                for src, subs in self.subs_by_source.items()
-                if any(s.filter == filter for s in subs)
-            ]
-        return [
-            self._sub_paths.get((src, filter), ())
-            for src in sources
-            if src != exclude
-        ]
-
-    def _adv_source_paths(
-        self, filter: Filter, exclude: Address
-    ) -> list[tuple[Address, ...]]:
-        if self.indexed:
-            sources = self._adv_sources.get(filter, ())
-        else:
-            sources = [
-                src
-                for src, filters in self.adverts_by_source.items()
-                if filter in filters
-            ]
-        return [
-            self._adv_paths.get((src, filter), ())
-            for src in sources
-            if src != exclude
-        ]
-
-    def _propagate_sub_widening(self, filter: Filter) -> None:
+    def _propagate_widening(self, table: FilterTable, filter: Filter) -> None:
         if self.rv is not None:
             return
         for neighbour in self.neighbours:
-            self._rewiden_forwarded(
-                neighbour, filter, self._sub_source_paths(filter, neighbour),
-                self.forwarded, self._fwd_sent, Subscribe,
+            self._rewiden(
+                table, neighbour, filter, table.source_paths(filter, neighbour)
             )
 
-    def _propagate_adv_widening(self, filter: Filter) -> None:
-        if self.rv is not None:
-            return
-        for neighbour in self.neighbours:
-            self._rewiden_forwarded(
-                neighbour, filter, self._adv_source_paths(filter, neighbour),
-                self.adverts_forwarded, self._advfwd_sent, Advertise,
-            )
-
-    def _rewiden_forwarded(
+    def _rewiden(
         self,
+        table: FilterTable,
         neighbour: Address,
         filter: Filter,
         survivor_paths: list[tuple[Address, ...]],
-        forwarded: dict[Address, list[Filter]],
-        sent_paths: dict[Address, dict[Filter, frozenset]],
-        forward_msg,
     ) -> None:
         """Re-send a forwarded filter whose fresh path is wider than sent.
 
@@ -745,9 +655,9 @@ class BrokerNode(Host):
         flooded on later re-sends — the state a long-lived overlay keeps
         converges back to what a freshly built one would hold.
         """
-        if filter not in forwarded.get(neighbour, ()):
+        if not table.is_forwarded(neighbour, filter):
             return
-        sent = sent_paths.get(neighbour)
+        sent = table.sent.get(neighbour)
         old = sent.get(filter) if sent is not None else None
         if old is None or not survivor_paths:
             return
@@ -764,153 +674,49 @@ class BrokerNode(Host):
         sent[filter] = frozenset(fresh)
         ordered = tuple(x for x in base if x in fresh)
         self._send_control(
-            neighbour, forward_msg(filter, ordered + (self.addr,), True)
+            neighbour, table.announce(filter, ordered + (self.addr,), True)
         )
 
-    def _propagate_subscription(
-        self, source: Address, filter: Filter, path: tuple[Address, ...]
-    ) -> None:
-        if self.rv is not None:
-            return  # dht mode: interest is grafted, never flooded
-        for neighbour in self.neighbours:
-            if neighbour == source:
-                continue
-            if self._sub_blocked(neighbour, filter):
-                continue  # deferred: unblocked if an advertisement arrives
-            self._forward_filter(
-                neighbour, filter, path, self.forwarded,
-                self._fwd_posets, self._fwd_ids, self._fwd_sent, Subscribe,
-            )
-
-    def _remove_subscription(self, source: Address, filter: Filter) -> None:
-        subs = self.subs_by_source.get(source, [])
-        if self.rv is not None and any(s.filter == filter for s in subs):
-            self.rv.on_unsubscribe(filter)
-        self.subs_by_source[source] = [s for s in subs if s.filter != filter]
-        if not self.subs_by_source[source]:
-            del self.subs_by_source[source]
-        self._sub_paths.pop((source, filter), None)
-        if self.indexed:
-            key = (source, filter)
-            if key in self._sub_entry_ids:
-                self._sub_index.remove(self._sub_entry_ids.pop(key))
-                self._sub_poset.remove(self._sub_poset_ids.pop(key))
-                self._drop_source(self._sub_sources, filter, source)
-            for neighbour in self.neighbours:
-                if neighbour == source:
-                    continue
-                self._retract_forwarded(
-                    neighbour,
-                    filter,
-                    store_poset=self._sub_poset,
-                    sources=self._sub_sources,
-                    paths=self._sub_paths,
-                    forwarded=self.forwarded,
-                    posets=self._fwd_posets,
-                    ids_by_neighbour=self._fwd_ids,
-                    sent_paths=self._fwd_sent,
-                    retract_msg=Unsubscribe,
-                    restore_msg=Subscribe,
-                    restore_pruned=True,
-                )
-            return
-        for neighbour in self.neighbours:
-            if neighbour == source:
-                continue
-            remaining = [
-                (src, s.filter)
-                for src, subs in self.subs_by_source.items()
-                if src != neighbour
-                for s in subs
-            ]
-            already = self.forwarded.setdefault(neighbour, [])
-            if filter in already and not any(f == filter for _, f in remaining):
-                already.remove(filter)
-                self._fwd_sent.get(neighbour, {}).pop(filter, None)
-                self._send_control(neighbour, Unsubscribe(filter))
-                # Re-forward anything the removed filter was masking
-                # (duplicate/covering/path suppression lives in
-                # _forward_filter).
-                for src, f in remaining:
-                    if self._sub_blocked(neighbour, f):
-                        continue
-                    self._forward_filter(
-                        neighbour, f, self._sub_paths.get((src, f), ()),
-                        self.forwarded, self._fwd_posets, self._fwd_ids,
-                        self._fwd_sent, Subscribe,
-                    )
-            elif filter in already:
-                # Still forwarded on behalf of surviving copies: the
-                # departed chain may have been narrowing the sent path.
-                self._rewiden_forwarded(
-                    neighbour, filter, self._sub_source_paths(filter, neighbour),
-                    self.forwarded, self._fwd_sent, Subscribe,
-                )
-
     # ------------------------------------------------------------------
-    # Advertisement pruning predicates
+    # Advertisement pruning
     # ------------------------------------------------------------------
     def _adv_intersects(self, neighbour: Address, filter: Filter) -> bool:
         """Has ``neighbour`` advertised anything intersecting ``filter``?"""
-        if self.indexed:
-            poset = self._adv_in.get(neighbour)
-            return poset is not None and poset.intersecting_any(filter)
-        return any(
-            filters_intersect(advert, filter)
-            for advert in self.adverts_by_source.get(neighbour, ())
-        )
+        return self.adverts.intersects(neighbour, filter)
 
-    def _sub_blocked(self, neighbour: Address, filter: Filter) -> bool:
+    def _blocked(self, table: FilterTable, neighbour: Address, filter: Filter) -> bool:
         """Should forwarding ``filter`` toward ``neighbour`` be withheld?
 
-        Only under ``adv_pruned``, and only while no advertisement from
-        that neighbour intersects the subscription — i.e. while its
-        subtree provably produces nothing the subscription wants.
+        Only subscriptions under ``adv_pruned``, and only while no
+        advertisement from that neighbour intersects the subscription —
+        i.e. while its subtree provably produces nothing it wants.
         """
-        return self.adv_pruned and not self._adv_intersects(neighbour, filter)
-
-    def _covered_by_peer_advert(self, source: Address, filter: Filter) -> bool:
-        """Is ``filter`` covered by another advertisement from ``source``?
-
-        Used to skip unblock/re-prune scans: a covering advertisement
-        from the same source admits a superset of notifications, so it
-        already justifies (or keeps justifying) every subscription the
-        covered one could.
-        """
-        if self.indexed:
-            poset = self._adv_in.get(source)
-            if poset is None:
-                return False
-            own = self._adv_in_ids.get((source, filter))
-            return any(pid != own for pid in poset.covering(filter))
-        return any(
-            advert != filter and filter_covers(advert, filter)
-            for advert in self.adverts_by_source.get(source, ())
+        return (
+            self.adv_pruned
+            and table is self.subs
+            and not self._adv_intersects(neighbour, filter)
         )
 
     def _unblock_subscriptions(self, neighbour: Address, advert: Filter) -> None:
         """Forward the stored subscriptions a new advertisement unblocks.
 
         Any subscription intersecting the advertisement now has a
-        producer in the neighbour's subtree; ``_forward_filter``'s
+        producer in the neighbour's subtree; ``_forward``'s
         duplicate/covering suppression keeps the scan idempotent.  A
         covering advertisement already stored from the same neighbour
         means every such subscription was unblocked before — skip.
         """
-        if self._covered_by_peer_advert(neighbour, advert):
+        if self.adverts.covered_by_other(neighbour, advert):
             return
-        for source, subs in list(self.subs_by_source.items()):
+        for source, filters in list(self.subs.by_source.items()):
             if source == neighbour:
                 continue
-            for sub in list(subs):
-                if not filters_intersect(advert, sub.filter):
-                    continue
-                self._forward_filter(
-                    neighbour, sub.filter,
-                    self._sub_paths.get((source, sub.filter), ()),
-                    self.forwarded, self._fwd_posets,
-                    self._fwd_ids, self._fwd_sent, Subscribe,
-                )
+            for filter in list(filters):
+                if filters_intersect(advert, filter):
+                    self._forward(
+                        self.subs, neighbour, filter,
+                        self.subs.paths[(source, filter)],
+                    )
 
     def _reprune_subscriptions(self, neighbour: Address, advert: Filter) -> None:
         """Retract forwarded subscriptions a withdrawn advert justified.
@@ -920,50 +726,32 @@ class BrokerNode(Host):
         advertisement from that neighbour intersects it.  Subscriptions
         the retracted one was masking need no restore — anything they
         intersect, it intersects too, so they are equally unjustified.
+        A covering advertisement still stored from the same neighbour
+        keeps justifying all of them — skip.
         """
-        if self._covered_by_peer_advert(neighbour, advert):
+        if self.adverts.covered_by_other(neighbour, advert):
             return
-        already = self.forwarded.get(neighbour)
-        if not already:
-            return
-        ids = self._fwd_ids.get(neighbour, {})
-        poset = self._fwd_posets.get(neighbour)
-        for filter in list(already):
+        for filter in list(self.subs.forwarded.get(neighbour, ())):
             if not filters_intersect(advert, filter):
                 continue  # never depended on the withdrawn advertisement
             if self._adv_intersects(neighbour, filter):
                 continue  # still justified by another advertisement
-            already.remove(filter)
-            if self.indexed and filter in ids and poset is not None:
-                poset.remove(ids.pop(filter))
-            self._fwd_sent.get(neighbour, {}).pop(filter, None)
+            self.subs.drop_forwarded(neighbour, filter)
             self._send_control(neighbour, Unsubscribe(filter))
 
     # ------------------------------------------------------------------
-    # Indexed-fabric helpers (shared by subscriptions and advertisements)
+    # Forwarding toward one neighbour
     # ------------------------------------------------------------------
     def _send_control(self, neighbour: Address, payload) -> None:
         self.control_counts[type(payload).__name__] += 1
         self.send(neighbour, payload, size_bytes=128)
 
-    @staticmethod
-    def _drop_source(sources: dict[Filter, set[Address]], filter: Filter, source: Address) -> None:
-        members = sources.get(filter)
-        if members is not None:
-            members.discard(source)
-            if not members:
-                del sources[filter]
-
-    def _forward_filter(
+    def _forward(
         self,
+        table: FilterTable,
         neighbour: Address,
         filter: Filter,
         path: tuple[Address, ...],
-        forwarded: dict[Address, list[Filter]],
-        posets: dict[Address, CoveringPoset],
-        ids_by_neighbour: dict[Address, dict[Filter, int]],
-        sent_paths: dict[Address, dict[Filter, frozenset]],
-        forward_msg,
     ) -> None:
         """Push ``filter`` toward a neighbour unless it is redundant there.
 
@@ -984,247 +772,76 @@ class BrokerNode(Host):
         """
         if neighbour in path:
             return
-        already = forwarded.setdefault(neighbour, [])
-        sent = sent_paths.setdefault(neighbour, {})
-        if self.indexed:
-            poset = posets.setdefault(neighbour, CoveringPoset())
-            ids = ids_by_neighbour.setdefault(neighbour, {})
-            if filter in ids:
-                self._narrow_forwarded(neighbour, filter, path, sent, forward_msg)
-                return
-            if self.covering_enabled and poset.covers_any(filter):
-                return
-            ids[filter] = poset.add(filter)
-        else:
-            if filter in already:
-                self._narrow_forwarded(neighbour, filter, path, sent, forward_msg)
-                return
-            if self.covering_enabled and any(
-                filter_covers(existing, filter) for existing in already
-            ):
-                return
-        already.append(filter)
-        sent[filter] = frozenset(path)
-        self._send_control(neighbour, forward_msg(filter, path + (self.addr,)))
+        # A neighbour we tried to push to gets a (possibly empty) list.
+        table.forwarded.setdefault(neighbour, [])
+        if table.is_forwarded(neighbour, filter):
+            self._narrow_forwarded(table, neighbour, filter, path)
+            return
+        if self.covering_enabled and table.covers_any(neighbour, filter):
+            return
+        table.add_forwarded(neighbour, filter, path)
+        self._send_control(neighbour, table.announce(filter, path + (self.addr,)))
 
     def _narrow_forwarded(
         self,
+        table: FilterTable,
         neighbour: Address,
         filter: Filter,
         path: tuple[Address, ...],
-        sent: dict[Filter, frozenset],
-        forward_msg,
     ) -> None:
         """Re-send an already-forwarded filter whose path just narrowed."""
+        sent = table.sent.setdefault(neighbour, {})
         old = sent.get(filter)
         new = frozenset(path) if old is None else old & frozenset(path)
         if old is not None and new == old:
             return
         sent[filter] = new
         narrowed = tuple(x for x in path if x in new)
-        self._send_control(neighbour, forward_msg(filter, narrowed + (self.addr,)))
+        self._send_control(neighbour, table.announce(filter, narrowed + (self.addr,)))
 
-    def _retract_forwarded(
-        self,
-        neighbour: Address,
-        filter: Filter,
-        store_poset: CoveringPoset,
-        sources: dict[Filter, set[Address]],
-        paths: dict[tuple[Address, Filter], tuple[Address, ...]],
-        forwarded: dict[Address, list[Filter]],
-        posets: dict[Address, CoveringPoset],
-        ids_by_neighbour: dict[Address, dict[Filter, int]],
-        sent_paths: dict[Address, dict[Filter, frozenset]],
-        retract_msg,
-        restore_msg,
-        restore_pruned: bool = False,
-    ) -> None:
+    def _retract(self, table: FilterTable, neighbour: Address, filter: Filter) -> None:
         """Withdraw ``filter`` from a neighbour and re-forward what it masked.
 
         A stored filter can only have been suppressed (never forwarded)
         because some forwarded filter covered it, so the candidates for
-        re-forwarding are exactly the store poset's ``covered_by`` set of
-        the withdrawn filter — a poset lookup instead of a rescan of the
-        whole store.  ``restore_pruned`` applies advertisement pruning to
-        the restores (subscription retractions only): a masked filter no
-        advertisement justifies stays parked until one arrives.
+        re-forwarding are exactly the table's ``covered_by`` entries for
+        the withdrawn filter — a poset lookup on the indexed table
+        instead of a rescan of the whole store.  Advertisement pruning
+        applies to the restores: a masked subscription no advertisement
+        justifies stays parked until one arrives.
         """
-        already = forwarded.setdefault(neighbour, [])
-        ids = ids_by_neighbour.setdefault(neighbour, {})
-        poset = posets.setdefault(neighbour, CoveringPoset())
-        if filter not in ids:
+        table.forwarded.setdefault(neighbour, [])
+        if not table.is_forwarded(neighbour, filter):
             return
-        survivors = [src for src in sources.get(filter, ()) if src != neighbour]
+        survivors = table.source_paths(filter, neighbour)
         if survivors:
             # Still stored from elsewhere: the neighbour keeps it, but
             # the departed copy may have been narrowing the sent path —
             # recompute it from the surviving chains.
-            self._rewiden_forwarded(
-                neighbour, filter,
-                [paths.get((src, filter), ()) for src in survivors],
-                forwarded, sent_paths, restore_msg,
-            )
+            self._rewiden(table, neighbour, filter, survivors)
             return
-        already.remove(filter)
-        poset.remove(ids.pop(filter))
-        sent_paths.setdefault(neighbour, {}).pop(filter, None)
-        self._send_control(neighbour, retract_msg(filter))
-        for pid in store_poset.covered_by(filter):
-            masked_source, masked = store_poset.payload(pid)
-            if masked_source == neighbour:
+        table.drop_forwarded(neighbour, filter)
+        self._send_control(neighbour, table.withdraw(filter))
+        for masked_source, masked in table.covered_by(filter):
+            if masked_source == neighbour or self._blocked(table, neighbour, masked):
                 continue
-            if restore_pruned and self._sub_blocked(neighbour, masked):
-                continue
-            # Duplicate/covering/path suppression lives in
-            # _forward_filter (the duplicate check there is explicit
-            # because filter_covers is not reflexive for range
-            # constraints over strings/bools).
-            self._forward_filter(
-                neighbour, masked, paths.get((masked_source, masked), ()),
-                forwarded, posets, ids_by_neighbour, sent_paths, restore_msg,
+            # Duplicate/covering/path suppression lives in _forward (the
+            # duplicate check there is explicit because filter_covers is
+            # not reflexive for range constraints over strings/bools).
+            self._forward(
+                table, neighbour, masked, table.paths[(masked_source, masked)]
             )
 
     # ------------------------------------------------------------------
-    # Advertisements
+    # Queries
     # ------------------------------------------------------------------
-    def _store_advertisement(
-        self,
-        source: Address,
-        filter: Filter,
-        path: tuple[Address, ...] = (),
-        path_reset: bool = False,
-    ) -> None:
-        if self.addr in path:
-            return  # a reflection of our own forwarding around a cycle
-        adverts = self.adverts_by_source.setdefault(source, [])
-        if self.indexed:
-            known = source in self._adv_sources.get(filter, ())
-        else:
-            known = filter in adverts
-        if known:
-            if path_reset:
-                if self._widen_stored(source, filter, path, self._adv_paths):
-                    self._propagate_adv_widening(filter)
-            else:
-                self._narrow_stored(
-                    source, filter, path, self._adv_paths,
-                    self._propagate_advertisement,
-                )
-            return
-        adverts.append(filter)
-        if self.indexed:
-            key = (source, filter)
-            self._adv_entry_ids[key] = self._adv_index.add(filter, payload=source)
-            self._adv_poset_ids[key] = self._adv_poset.add(filter, payload=key)
-            self._adv_in_ids[key] = self._adv_in.setdefault(
-                source, CoveringPoset()
-            ).add(filter)
-            self._adv_sources.setdefault(filter, set()).add(source)
-        self._adv_paths[(source, filter)] = path
-        self._propagate_advertisement(source, filter, path)
-        if self.rv is not None:
-            self.rv.on_advertise(source, filter)
-        if self.adv_pruned and source in self.neighbours:
-            # Deferred re-propagation: the new advertisement may unblock
-            # subscriptions previously pruned toward its source.
-            self._unblock_subscriptions(source, filter)
-
-    def _propagate_advertisement(
-        self, source: Address, filter: Filter, path: tuple[Address, ...]
-    ) -> None:
-        if self.rv is not None:
-            return  # dht mode: adverts register at their discovery root
-        for neighbour in self.neighbours:
-            if neighbour == source:
-                continue
-            self._forward_filter(
-                neighbour, filter, path, self.adverts_forwarded,
-                self._advfwd_posets, self._advfwd_ids, self._advfwd_sent,
-                Advertise,
-            )
-
-    def _remove_advertisement(self, source: Address, filter: Filter) -> None:
-        adverts = self.adverts_by_source.get(source, [])
-        removed = False
-        if filter in adverts:
-            adverts.remove(filter)
-            removed = True
-            self._adv_paths.pop((source, filter), None)
-            if self.indexed:
-                key = (source, filter)
-                if key in self._adv_entry_ids:
-                    self._adv_index.remove(self._adv_entry_ids.pop(key))
-                    self._adv_poset.remove(self._adv_poset_ids.pop(key))
-                    self._drop_source(self._adv_sources, filter, source)
-                if key in self._adv_in_ids:
-                    poset = self._adv_in[source]
-                    poset.remove(self._adv_in_ids.pop(key))
-                    if not len(poset):
-                        del self._adv_in[source]
-        if removed and self.rv is not None:
-            self.rv.on_unadvertise(source, filter)
-        if removed and self.adv_pruned and source in self.neighbours:
-            # Symmetric retraction: subscriptions only this advertisement
-            # justified are withdrawn from its source again.
-            self._reprune_subscriptions(source, filter)
-        if self.indexed:
-            for neighbour in self.neighbours:
-                if neighbour == source:
-                    continue
-                self._retract_forwarded(
-                    neighbour,
-                    filter,
-                    store_poset=self._adv_poset,
-                    sources=self._adv_sources,
-                    paths=self._adv_paths,
-                    forwarded=self.adverts_forwarded,
-                    posets=self._advfwd_posets,
-                    ids_by_neighbour=self._advfwd_ids,
-                    sent_paths=self._advfwd_sent,
-                    retract_msg=Unadvertise,
-                    restore_msg=Advertise,
-                )
-            return
-        for neighbour in self.neighbours:
-            if neighbour == source:
-                continue
-            remaining = [
-                (src, f)
-                for src, filters in self.adverts_by_source.items()
-                if src != neighbour
-                for f in filters
-            ]
-            already = self.adverts_forwarded.setdefault(neighbour, [])
-            if filter in already and not any(f == filter for _, f in remaining):
-                already.remove(filter)
-                self._advfwd_sent.get(neighbour, {}).pop(filter, None)
-                self._send_control(neighbour, Unadvertise(filter))
-                # Re-forward anything the removed advertisement was masking,
-                # mirroring _remove_subscription: without this an
-                # Unadvertise silently strips a neighbour of adverts whose
-                # producers are still live (duplicate/covering/path
-                # suppression lives in _forward_filter).
-                for src, f in remaining:
-                    self._forward_filter(
-                        neighbour, f, self._adv_paths.get((src, f), ()),
-                        self.adverts_forwarded, self._advfwd_posets,
-                        self._advfwd_ids, self._advfwd_sent, Advertise,
-                    )
-            elif filter in already:
-                self._rewiden_forwarded(
-                    neighbour, filter, self._adv_source_paths(filter, neighbour),
-                    self.adverts_forwarded, self._advfwd_sent, Advertise,
-                )
-
     def advertisements(self) -> list[Filter]:
         """Every advertisement this broker knows about (all sources)."""
         return [f for filters in self.adverts_by_source.values() for f in filters]
 
     def advertised(self, notification: Notification) -> bool:
         """Would this notification fall under some known advertisement?"""
-        if self.indexed:
-            return bool(self._adv_index.match(notification))
-        return any(f.matches(notification) for f in self.advertisements())
+        return bool(self.adverts.receivers(notification))
 
     def control_state_size(self) -> int:
         """Routing-relevant control entries held by this broker.
@@ -1235,14 +852,13 @@ class BrokerNode(Host):
         dht mode counts the rendezvous engine's membership, tree, and
         registry entries plus the broker's own local filter store.
         """
-        local = sum(len(subs) for subs in self.subs_by_source.values()) + sum(
-            len(filters) for filters in self.adverts_by_source.values()
-        )
+        tables = (self.subs, self.adverts)
+        local = sum(len(fs) for table in tables for fs in table.by_source.values())
         if self.rv is not None:
             return local + self.rv.state_size()
         return local + sum(
-            len(filters) for filters in self.forwarded.values()
-        ) + sum(len(filters) for filters in self.adverts_forwarded.values())
+            len(fs) for table in tables for fs in table.forwarded.values()
+        )
 
     # ------------------------------------------------------------------
     # Publication
@@ -1271,23 +887,12 @@ class BrokerNode(Host):
         if self.advert_on_first_publish:
             self._maybe_auto_advertise(source, notification)
         size = notification.size_bytes()
-        if self.indexed:
-            matched = self._sub_index.match(notification)
-            if not matched:
-                return
-            index = self._sub_index
-            interested = {index.payload(fid) for fid in matched}
-            for dest in list(self.subs_by_source):
-                if dest == source or dest not in interested:
-                    continue
-                self._deliver(dest, notification, size, pub_id)
+        interested = self.subs.receivers(notification)
+        if not interested:
             return
-        for dest, subs in list(self.subs_by_source.items()):
-            if dest == source:
-                continue
-            if not any(s.filter.matches(notification) for s in subs):
-                continue
-            self._deliver(dest, notification, size, pub_id)
+        for dest in list(self.subs_by_source):
+            if dest != source and dest in interested:
+                self._deliver(dest, notification, size, pub_id)
 
     def _maybe_auto_advertise(self, source: Address, notification: Notification) -> None:
         """Synthesise an advertisement for a non-advertising local producer.
@@ -1342,27 +947,15 @@ class BrokerNode(Host):
         if not survivors:
             return
         per_dest: dict[Address, list] = {}
-        if self.indexed:
-            matched_sets = self._sub_index.match_batch(
-                [notification for notification, _ in survivors]
-            )
-            payload = self._sub_index.payload
-            for (notification, pub_id), matched in zip(survivors, matched_sets):
-                if not matched:
-                    continue
-                interested = {payload(fid) for fid in matched}
-                for dest in list(self.subs_by_source):
-                    if dest == source or dest not in interested:
-                        continue
-                    per_dest.setdefault(dest, []).append((notification, pub_id))
-        else:
-            for notification, pub_id in survivors:
-                for dest, subs in list(self.subs_by_source.items()):
-                    if dest == source:
-                        continue
-                    if not any(s.filter.matches(notification) for s in subs):
-                        continue
-                    per_dest.setdefault(dest, []).append((notification, pub_id))
+        receivers = self.subs.receivers_batch(
+            [notification for notification, _ in survivors]
+        )
+        for item, interested in zip(survivors, receivers):
+            if not interested:
+                continue
+            for dest in list(self.subs_by_source):
+                if dest != source and dest in interested:
+                    per_dest.setdefault(dest, []).append(item)
         for dest, batch in per_dest.items():
             self._deliver_batch(dest, batch)
 
@@ -1466,9 +1059,7 @@ class BrokerNode(Host):
 
     def _handle_transfer_request(self, msg: TransferRequest) -> None:
         buffered = tuple(self.proxies.pop(msg.client, ()))
-        filters = tuple(
-            s.filter for s in self.subs_by_source.get(msg.client, [])
-        )
+        filters = tuple(self.subs_by_source.get(msg.client, ()))
         self.client_addrs.discard(msg.client)
         for filter in filters:
             self._remove_subscription(msg.client, filter)
@@ -1509,12 +1100,8 @@ class BrokerNode(Host):
         records of what it holds are stale and would suppress the
         re-push, so they are discarded before the full state sync.
         """
-        for per_link in (
-            self.forwarded, self._fwd_posets, self._fwd_ids, self._fwd_sent,
-            self.adverts_forwarded, self._advfwd_posets, self._advfwd_ids,
-            self._advfwd_sent,
-        ):
-            per_link.pop(neighbour, None)
+        for table in (self.subs, self.adverts):
+            table.forget(neighbour)
         self.forwarded.setdefault(neighbour, [])
         self._sync_new_neighbour(neighbour)
 

@@ -21,6 +21,7 @@ lives in the *partitioned matching*, not in socket topology (see
 from __future__ import annotations
 
 import asyncio
+import logging
 import multiprocessing
 import os
 from typing import Any, Callable, Dict
@@ -32,6 +33,21 @@ Handler = Callable[[Address, Any], None]
 
 _READ_CHUNK = 65536
 
+logger = logging.getLogger(__name__)
+
+
+def _dispatch(handler: Handler, src: Address, dst: Address, payload: Any) -> bool:
+    """Run one handler; one that raises is logged instead of killing the loop.
+
+    Returns ``False`` when the handler raised, so the caller can count it.
+    """
+    try:
+        handler(src, payload)
+    except Exception:
+        logger.exception("handler for %r raised on a message from %r", dst, src)
+        return False
+    return True
+
 
 class AsyncioTransport:
     """The hub node: local endpoint registry + listener + relay.
@@ -40,7 +56,8 @@ class AsyncioTransport:
     handlers): local destinations are queued onto the event loop, remote
     ones are framed onto the owning connection, unknown ones dropped —
     the same silent-drop semantics the simulated network gives a
-    vanished peer.
+    vanished peer.  A handler that raises is logged and counted in
+    ``handler_errors``; dispatch carries on with the next message.
     """
 
     def __init__(self, path: str | None = None):
@@ -50,7 +67,10 @@ class AsyncioTransport:
         self._server: asyncio.AbstractServer | None = None
         self._queue: asyncio.Queue | None = None
         self._pump: asyncio.Task | None = None
+        # Open connections: the task serving each, and its writer.
+        self._connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
         self.frames_relayed = 0
+        self.handler_errors = 0
 
     def register(self, addr: Address, handler: Handler) -> None:
         self._handlers[addr] = handler
@@ -82,14 +102,16 @@ class AsyncioTransport:
             src, dst, payload = await self._queue.get()
             try:
                 handler = self._handlers.get(dst)
-                if handler is not None:
-                    handler(src, payload)
+                if handler is not None and not _dispatch(handler, src, dst, payload):
+                    self.handler_errors += 1
             finally:
                 self._queue.task_done()
 
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._connections[task] = writer
         decoder = FrameDecoder()
         announced: list[Address] = []
         try:
@@ -106,6 +128,7 @@ class AsyncioTransport:
         except (asyncio.IncompleteReadError, ConnectionResetError):
             pass
         finally:
+            del self._connections[task]
             for addr in announced:
                 if self._routes.get(addr) is writer:
                     del self._routes[addr]
@@ -128,6 +151,11 @@ class AsyncioTransport:
                 await asyncio.sleep(0.01)
 
     async def stop(self) -> None:
+        """Stop listening, close every connection and wait for its task.
+
+        A connection task still pending when the loop shuts down would
+        be cancelled there, and asyncio reports each such cancellation.
+        """
         if self._pump is not None:
             self._pump.cancel()
             try:
@@ -136,9 +164,12 @@ class AsyncioTransport:
                 pass
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-        for writer in set(self._routes.values()):
+        for writer in self._connections.values():
             writer.close()
+        if self._connections:
+            await asyncio.wait(list(self._connections))
+        if self._server is not None:
+            await self._server.wait_closed()
         self._routes.clear()
 
 
@@ -147,12 +178,13 @@ async def serve_worker(
     build: Callable[[Callable[[Address, Address, Any], None]], Dict[Address, Handler]],
     connect_timeout: float = 10.0,
 ) -> None:
-    """Run one worker node: connect to the hub and serve until EOF.
+    """Run one worker node: connect to the hub and serve until it closes.
 
     ``build(send)`` constructs the worker's endpoints and returns the
     ``addr -> handler`` map to host; the addresses are announced to the
     hub, which relays matching frames here.  Sends between two endpoints
-    of the same worker short-circuit locally.
+    of the same worker short-circuit locally.  A handler that raises is
+    logged and the worker keeps serving.
     """
     deadline = asyncio.get_running_loop().time() + connect_timeout
     while True:
@@ -170,7 +202,7 @@ async def serve_worker(
     def send(src: Address, dst: Address, payload: Any) -> None:
         if dst in local:
             queue.put_nowait((src, dst, payload))
-        else:
+        elif not writer.is_closing():
             writer.write(encode_frame(src, dst, payload))
 
     local.update(build(send))
@@ -182,7 +214,7 @@ async def serve_worker(
             src, dst, payload = await queue.get()
             handler = local.get(dst)
             if handler is not None:
-                handler(src, payload)
+                _dispatch(handler, src, dst, payload)
 
     pump_task = asyncio.create_task(pump())
     decoder = FrameDecoder()
@@ -191,7 +223,9 @@ async def serve_worker(
             for src, dst, message in decoder.feed(data):
                 handler = local.get(dst)
                 if handler is not None:
-                    handler(src, message)
+                    _dispatch(handler, src, dst, message)
+    except ConnectionError:
+        pass  # the hub closed the link while replies were in flight: EOF
     finally:
         pump_task.cancel()
         writer.close()

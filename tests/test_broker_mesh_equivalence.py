@@ -40,6 +40,7 @@ from repro.events.model import make_event
 from repro.net import FixedLatency, Network, Position
 from repro.net.latency import GeographicLatency
 from repro.simulation import Simulator
+from tests.helpers import control_plane_state
 
 FAST_HEARTBEAT = HeartbeatConfig(interval=0.25, miss_limit=3)
 
@@ -310,6 +311,7 @@ def run_scenario(
         "duplicates_ok": duplicates_ok,
         "duplicates_suppressed": sum(b.duplicates_suppressed for b in brokers),
         "dedup_origins": [len(b.pub_dedup) for b in brokers],
+        "control_plane": control_plane_state(brokers),
     }
 
 
@@ -318,19 +320,30 @@ class TestRandomizedMeshEquivalence:
     def test_tree_and_mesh_deliver_identically(self, seed):
         scenario = generate_scenario(seed)
         tree = run_scenario(scenario, MODES["naive"], mesh=False)
+        results = {}
         for name, kwargs in MODES.items():
-            result = run_scenario(scenario, kwargs, mesh=True)
+            result = results[name] = run_scenario(scenario, kwargs, mesh=True)
             assert result["deliveries"] == tree["deliveries"], name
             assert result["duplicates_ok"], name
+        assert (
+            results["indexed"]["control_plane"] == results["naive"]["control_plane"]
+        )
 
     @pytest.mark.parametrize("seed", range(22))
     def test_killing_one_redundant_link_changes_nothing(self, seed):
         scenario = generate_scenario(seed)
+        killed_runs = {}
         for name, kwargs in MODES.items():
             intact = run_scenario(scenario, kwargs, mesh=True)
-            killed = run_scenario(scenario, kwargs, mesh=True, kill_link=True)
+            killed = killed_runs[name] = run_scenario(
+                scenario, kwargs, mesh=True, kill_link=True
+            )
             assert killed["deliveries"] == intact["deliveries"], name
             assert killed["duplicates_ok"], name
+        assert (
+            killed_runs["indexed"]["control_plane"]
+            == killed_runs["naive"]["control_plane"]
+        )
 
     def test_every_redundant_link_is_individually_killable(self):
         """Exhaustive over one scenario: whichever redundant link dies,
@@ -440,7 +453,7 @@ class TestDuplicateSuppression:
         for broker in brokers:
             assert broker.subs_by_source == {}
             assert all(not fs for fs in broker.forwarded.values())
-            assert broker._sub_paths == {}
+            assert broker.subs.paths == {}
 
 
 class TestPathRewidening:
@@ -499,9 +512,9 @@ class TestPathRewidening:
         # address-for-address: every stored path and every sent path the
         # churned world retains must equal the fresh world's.
         for world_a, world_b in zip(churned, fresh):
-            assert world_a._sub_paths == world_b._sub_paths
-            assert self._nonempty(world_a._fwd_sent) == self._nonempty(
-                world_b._fwd_sent
+            assert world_a.subs.paths == world_b.subs.paths
+            assert self._nonempty(world_a.subs.sent) == self._nonempty(
+                world_b.subs.sent
             )
 
     @pytest.mark.parametrize("mode", sorted(FLOOD_MODES))
@@ -534,9 +547,9 @@ class TestPathRewidening:
         churned = build(churn=True)
         fresh = build(churn=False)
         for world_a, world_b in zip(churned, fresh):
-            assert world_a._adv_paths == world_b._adv_paths
-            assert self._nonempty(world_a._advfwd_sent) == self._nonempty(
-                world_b._advfwd_sent
+            assert world_a.adverts.paths == world_b.adverts.paths
+            assert self._nonempty(world_a.adverts.sent) == self._nonempty(
+                world_b.adverts.sent
             )
 
 

@@ -30,6 +30,7 @@ from repro.events.filters import Constraint, Filter, Op, eq, exists, gt, type_is
 from repro.events.model import make_event
 from repro.net import FixedLatency, Network, Position
 from repro.simulation import Simulator
+from tests.helpers import control_plane_state
 
 MODES = {
     "naive": dict(indexed=False),
@@ -257,6 +258,7 @@ def run_scenario(scenario: dict, mode_kwargs: dict) -> list[list]:
         "deliveries": deliveries,
         "duplicates_ok": duplicates_ok,
         "subscribe_msgs": subscribe_msgs,
+        "control_plane": control_plane_state(brokers),
     }
 
 
@@ -266,6 +268,10 @@ class TestRandomizedTreeEquivalence:
         scenario = generate_scenario(seed)
         results = {name: run_scenario(scenario, kw) for name, kw in MODES.items()}
         assert results["indexed"]["deliveries"] == results["naive"]["deliveries"]
+        # The table implementation changes no routing decision either.
+        assert (
+            results["indexed"]["control_plane"] == results["naive"]["control_plane"]
+        )
         assert results["adv_pruned"]["deliveries"] == results["naive"]["deliveries"]
         assert results["dht"]["deliveries"] == results["naive"]["deliveries"]
         for name, result in results.items():

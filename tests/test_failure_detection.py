@@ -165,7 +165,7 @@ class TestDetection:
         # The Resync made b reconcile: no phantom subscription survives,
         # so b never forwards matching traffic toward a again.
         assert all(
-            s.filter != filter for s in b.subs_by_source.get(a.addr, [])
+            s != filter for s in b.subs_by_source.get(a.addr, [])
         )
         pub_b.publish(make_event("t", n=1))
         sim.run_for(2.0)
